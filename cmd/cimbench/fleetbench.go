@@ -63,9 +63,9 @@ func runFleetgen(model, arch string, requests, clients, maxBatch, replicas int, 
 
 	// Both fleets build from the same registry, so they compile the same
 	// deterministic programs; the comparison isolates routing + replica
-	// parallelism. The tight batch deadline matches -loadgen.
+	// parallelism. The batcher config matches -loadgen.
 	reg := serving.NewRegistry()
-	bcfg := serving.BatcherConfig{MaxBatch: maxBatch, MaxDelay: 200 * time.Microsecond}
+	bcfg := serving.BatcherConfig{MaxBatch: maxBatch}
 	newFleet := func(n int) (*fleet.Fleet, error) {
 		return fleet.New(ctx, reg, fleet.Config{Model: model, Arch: arch, Replicas: n, Batcher: bcfg})
 	}

@@ -93,10 +93,9 @@ func runLoadgen(model, arch string, requests, clients, maxBatch int, jsonOut boo
 		return err
 	}
 
-	// A tight deadline keeps batches filling to MaxBatch from the clients'
-	// backlog while the partial batch at each round's tail flushes after
-	// 200µs instead of stalling a full serving-grade deadline.
-	b := serving.NewBatcher(p, serving.BatcherConfig{MaxBatch: maxBatch, MaxDelay: 200 * time.Microsecond})
+	// Group commit fills batches toward MaxBatch from the clients' backlog,
+	// and the partial batch at each round's tail runs at once.
+	b := serving.NewBatcher(p, serving.BatcherConfig{MaxBatch: maxBatch})
 	baseOuts := make([]map[int]*cimmlc.Tensor, requests)
 	batchOuts := make([]map[int]*cimmlc.Tensor, requests)
 	baseLat := make([]int64, requests)

@@ -50,10 +50,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	maxBatch := flag.Int("max-batch", 8, "micro-batch size trigger")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batch deadline trigger")
+	maxBatch := flag.Int("max-batch", 8, "largest micro-batch")
 	queue := flag.Int("queue", 0, "submit queue capacity (0 = 4×max-batch)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout, queueing included")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout, queueing included; also bounds reading a request")
 	seed := flag.Uint64("weight-seed", 42, "seed for the zoo models' deterministic weights")
 	hostFallback := flag.Bool("host-fallback", true, "partition models with host-only operators onto the host CPU")
 	replicas := flag.Int("replicas", 0, "chip replicas per (model, arch); 0 serves one batcher per pair with no fleet")
@@ -63,13 +62,13 @@ func main() {
 	flag.Var(&preloads, "preload", "model:arch pair to build at startup (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *maxBatch, *maxDelay, *queue, *timeout, *seed, *hostFallback, *replicas, *maxReplicas, archFiles, preloads); err != nil {
+	if err := run(*addr, *maxBatch, *queue, *timeout, *seed, *hostFallback, *replicas, *maxReplicas, archFiles, preloads); err != nil {
 		fmt.Fprintf(os.Stderr, "cimserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) error {
+func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) error {
 	if replicas < 0 || maxReplicas < 0 {
 		return fmt.Errorf("-replicas and -max-replicas must be non-negative")
 	}
@@ -95,7 +94,7 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 		}
 		fmt.Printf("registered architecture %q from %s\n", name, f)
 	}
-	batch := serving.BatcherConfig{MaxBatch: maxBatch, MaxDelay: maxDelay, Queue: queue}
+	batch := serving.BatcherConfig{MaxBatch: maxBatch, Queue: queue}
 	cfg := serving.ServerConfig{Batch: batch, RequestTimeout: timeout}
 	if replicas > 0 {
 		cfg.Runner = fleet.Factory(fleet.Config{
@@ -118,7 +117,7 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 		fmt.Printf("preloaded %s on %s in %v\n", model, arch, time.Since(start).Round(time.Millisecond))
 	}
 
-	srv := &http.Server{Addr: addr, Handler: gw.Handler()}
+	srv := newHTTPServer(addr, gw.Handler(), timeout)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	if replicas > 0 {
@@ -126,10 +125,10 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 		if ceiling == 0 {
 			ceiling = replicas
 		}
-		fmt.Printf("cimserve listening on %s (batch %d, delay %v, fleet %d-%d replicas)\n",
-			addr, maxBatch, maxDelay, replicas, ceiling)
+		fmt.Printf("cimserve listening on %s (batch %d, fleet %d-%d replicas)\n",
+			addr, maxBatch, replicas, ceiling)
 	} else {
-		fmt.Printf("cimserve listening on %s (batch %d, delay %v)\n", addr, maxBatch, maxDelay)
+		fmt.Printf("cimserve listening on %s (batch %d)\n", addr, maxBatch)
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -151,6 +150,27 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 	}
 	fmt.Println("drained cleanly")
 	return nil
+}
+
+// Connection limits that do not scale with -timeout: request headers are
+// small, so a client gets at most maxHeaderTimeout to send them, and a
+// keep-alive connection may sit idle between requests for idleTimeout.
+const (
+	maxHeaderTimeout = 10 * time.Second
+	idleTimeout      = 2 * time.Minute
+)
+
+// newHTTPServer wraps h with read and idle timeouts, so a client that sends
+// its headers or body slowly cannot hold a connection longer than a request
+// may take.
+func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: min(timeout, maxHeaderTimeout),
+		ReadTimeout:       timeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // stringList is a repeatable flag.

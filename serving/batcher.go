@@ -15,32 +15,23 @@ var ErrClosed = errors.New("serving: batcher closed")
 
 // BatcherConfig tunes the dynamic micro-batching queue.
 type BatcherConfig struct {
-	// MaxBatch flushes the queue as soon as this many requests are
-	// pending (default 8).
+	// MaxBatch caps the requests one batch may hold (default 8).
 	MaxBatch int
-	// MaxDelay flushes whatever is pending this long after the first
-	// request of a batch arrived (default 2ms). It bounds the queueing
-	// latency a lone request can suffer.
+	// MaxDelay is ignored.
+	//
+	// Deprecated: the Batcher flushes by group commit and never waits for
+	// a batch to fill, so there is no deadline to tune. The field remains
+	// for source compatibility.
 	MaxDelay time.Duration
 	// Queue is the submit-buffer capacity (default 4×MaxBatch). When the
 	// buffer is full, Do blocks — backpressure propagates to callers
 	// instead of growing an unbounded queue.
 	Queue int
-	// WorkConserving switches to group-commit batching: a batch flushes as
-	// soon as the executor would otherwise go idle, instead of waiting out
-	// MaxDelay. Batches then form only from the backlog that accumulates
-	// while the previous batch executes — under load they still reach
-	// MaxBatch, while a lone request runs immediately with no added
-	// queueing latency. MaxDelay is unused in this mode.
-	WorkConserving bool
 }
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.Queue <= 0 {
 		c.Queue = 4 * c.MaxBatch
@@ -55,11 +46,14 @@ type BatcherStats struct {
 	// Batches is the number of flushes; Requests/Batches is the mean
 	// batch size actually achieved.
 	Batches uint64 `json:"batches"`
-	// SizeFlushes, DeadlineFlushes, IdleFlushes and DrainFlushes split
-	// Batches by trigger: the queue filled to MaxBatch, MaxDelay expired,
-	// the executor went idle (work-conserving mode), or Close drained the
-	// pending requests.
-	SizeFlushes     uint64 `json:"size_flushes"`
+	// SizeFlushes, IdleFlushes and DrainFlushes split Batches by trigger:
+	// the backlog filled a batch to MaxBatch, the executor went idle with
+	// a partial batch pending, or Close drained the pending requests.
+	SizeFlushes uint64 `json:"size_flushes"`
+	// DeadlineFlushes is always zero.
+	//
+	// Deprecated: the deadline trigger is gone. The field remains so
+	// readers of the JSON snapshot keep working.
 	DeadlineFlushes uint64 `json:"deadline_flushes"`
 	IdleFlushes     uint64 `json:"idle_flushes"`
 	DrainFlushes    uint64 `json:"drain_flushes"`
@@ -68,12 +62,14 @@ type BatcherStats struct {
 	IsolationFallbacks uint64 `json:"isolation_fallbacks"`
 }
 
-// Batcher is a dynamic micro-batching queue in front of one Program.
-// Requests submitted by Do accumulate until either MaxBatch requests are
-// pending or MaxDelay has passed since the batch's first request, then the
-// whole batch flushes through Program.RunBatch's bounded worker pool. A
-// failed batch falls back to per-request execution so one malformed
-// request cannot fail its batch-mates.
+// Batcher is a dynamic micro-batching queue in front of one Program. It
+// batches by group commit: the loop waits for one request, tops the batch
+// up with whatever else is already queued (up to MaxBatch) and runs it at
+// once through Program.RunBatch's bounded worker pool. A lone request thus
+// runs with no added queueing delay, while under load the backlog that
+// builds up during one batch's execution forms the next batch. A failed
+// batch falls back to per-request execution so one malformed request
+// cannot fail its batch-mates.
 //
 // A Batcher is safe for concurrent use. Close drains pending requests.
 type Batcher struct {
@@ -90,7 +86,6 @@ type Batcher struct {
 	requests  atomic.Uint64
 	batches   atomic.Uint64
 	sizeFl    atomic.Uint64
-	deadlFl   atomic.Uint64
 	idleFl    atomic.Uint64
 	drainFl   atomic.Uint64
 	fallbacks atomic.Uint64
@@ -109,16 +104,21 @@ type batchRes struct {
 
 // NewBatcher starts the batching loop for p.
 func NewBatcher(p *cimmlc.Program, cfg BatcherConfig) *Batcher {
+	b := newBatcher(p, cfg)
+	go b.loop()
+	return b
+}
+
+// newBatcher builds a Batcher whose loop has not started yet.
+func newBatcher(p *cimmlc.Program, cfg BatcherConfig) *Batcher {
 	cfg = cfg.withDefaults()
-	b := &Batcher{
+	return &Batcher{
 		p:       p,
 		cfg:     cfg,
 		submit:  make(chan *batchReq, cfg.Queue),
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go b.loop()
-	return b
 }
 
 // Do submits one inference request and blocks until its batch has executed
@@ -160,11 +160,16 @@ func (b *Batcher) Do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[in
 // Close stops accepting requests, flushes everything already queued, and
 // waits for in-flight batches to finish. It is idempotent.
 func (b *Batcher) Close() {
+	b.stopAdmission()
+	<-b.done
+}
+
+// stopAdmission makes Do return ErrClosed and tells the loop to drain.
+func (b *Batcher) stopAdmission() {
 	b.closeOnce.Do(func() {
 		b.closed.Store(true)
 		close(b.closing)
 	})
-	<-b.done
 }
 
 // Stats returns a snapshot of the batcher's counters.
@@ -173,7 +178,6 @@ func (b *Batcher) Stats() BatcherStats {
 		Requests:           b.requests.Load(),
 		Batches:            b.batches.Load(),
 		SizeFlushes:        b.sizeFl.Load(),
-		DeadlineFlushes:    b.deadlFl.Load(),
 		IdleFlushes:        b.idleFl.Load(),
 		DrainFlushes:       b.drainFl.Load(),
 		IsolationFallbacks: b.fallbacks.Load(),
@@ -184,7 +188,9 @@ func (b *Batcher) Stats() BatcherStats {
 func (b *Batcher) Program() *cimmlc.Program { return b.p }
 
 // Depth reports the number of requests queued but not yet claimed by the
-// batching loop — the backlog signal fleet autoscalers act on.
+// batching loop. The loop claims requests only when the executor is free,
+// so this is the backlog that builds up while a batch executes — the
+// signal fleet autoscalers act on.
 func (b *Batcher) Depth() int { return len(b.submit) }
 
 // Inputs reports the underlying program's input schema (node ID → shape).
@@ -198,93 +204,57 @@ func (b *Batcher) loop() {
 		b.fallbackW.Wait()
 		close(b.done)
 	}()
-	var pending []*batchReq
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var timerC <-chan time.Time
-
-	flush := func(trigger *atomic.Uint64) {
-		if timerC != nil {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timerC = nil
-		}
-		if len(pending) == 0 {
-			return
-		}
-		trigger.Add(1)
-		b.runBatch(pending)
-		pending = nil
-	}
-
 	for {
+		var batch []*batchReq
 		select {
 		case r := <-b.submit:
-			pending = append(pending, r)
-			if b.cfg.WorkConserving {
-				// Group commit: top up from the backlog without blocking,
-				// then flush rather than letting the executor idle.
-				for len(pending) < b.cfg.MaxBatch {
-					select {
-					case r2 := <-b.submit:
-						pending = append(pending, r2)
-						continue
-					default:
-					}
-					break
-				}
-				if len(pending) >= b.cfg.MaxBatch {
-					flush(&b.sizeFl)
-				} else {
-					flush(&b.idleFl)
-				}
-				continue
-			}
-			if len(pending) == 1 {
-				timer.Reset(b.cfg.MaxDelay)
-				timerC = timer.C
-			}
-			if len(pending) >= b.cfg.MaxBatch {
-				flush(&b.sizeFl)
-			}
-		case <-timerC:
-			timerC = nil
-			flush(&b.deadlFl)
+			batch = b.topUp([]*batchReq{r})
 		case <-b.closing:
-			// Drain: everything already queued still gets served.
-			for {
-				select {
-				case r := <-b.submit:
-					pending = append(pending, r)
-					if len(pending) >= b.cfg.MaxBatch {
-						// A full batch during the drain is an ordinary
-						// size-triggered flush; only the final partial
-						// flush below is attributed to the drain.
-						flush(&b.sizeFl)
-					}
-					continue
-				default:
-				}
-				break
+		}
+		select {
+		case <-b.closing:
+			// Drain: everything already queued still gets served. Full
+			// batches are ordinary size flushes; only the final partial
+			// batch is attributed to the drain.
+			for batch = b.topUp(batch); len(batch) == b.cfg.MaxBatch; batch = b.topUp(nil) {
+				b.runBatch(batch, &b.sizeFl)
 			}
-			flush(&b.drainFl)
+			b.runBatch(batch, &b.drainFl)
 			return
+		default:
+		}
+		if len(batch) == b.cfg.MaxBatch {
+			b.runBatch(batch, &b.sizeFl)
+		} else {
+			b.runBatch(batch, &b.idleFl)
 		}
 	}
 }
 
-// runBatch executes one flushed batch. Requests whose context is already
-// done are answered without running; the rest go through RunBatch, falling
-// back to per-request Runs when the batch fails as a whole so errors stay
-// isolated to the request that caused them.
-func (b *Batcher) runBatch(reqs []*batchReq) {
+// topUp appends already-queued requests to batch, without waiting for
+// more, until it holds MaxBatch.
+func (b *Batcher) topUp(batch []*batchReq) []*batchReq {
+	for len(batch) < b.cfg.MaxBatch {
+		select {
+		case r := <-b.submit:
+			batch = append(batch, r)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// runBatch executes one flushed batch and credits its trigger; an empty
+// batch is no flush. Requests whose context is already done are answered
+// without running; the rest go through RunBatch, falling back to
+// per-request Runs when the batch fails as a whole so errors stay isolated
+// to the request that caused them.
+func (b *Batcher) runBatch(reqs []*batchReq, trigger *atomic.Uint64) {
+	if len(reqs) == 0 {
+		return
+	}
+	trigger.Add(1)
 	live := reqs[:0]
 	for _, r := range reqs {
 		if err := r.ctx.Err(); err != nil {

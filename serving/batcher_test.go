@@ -67,26 +67,58 @@ func submitN(t *testing.T, b *Batcher, n int, inputs func(i int) map[int]*cimmlc
 	return results
 }
 
+// runQueued queues n requests (request i carries inputs(i)) on a batcher
+// whose loop has not started, and only then starts the loop, so the first
+// batch holds min(n, MaxBatch) requests however the goroutines are scheduled.
+// With drain set, the batcher stops admission before the loop starts, so
+// the drain path serves the whole backlog; every reply must then be
+// buffered by the time the loop exits. It returns the batcher (closed on
+// cleanup) and each request's result in queue order.
+func runQueued(t *testing.T, p *cimmlc.Program, cfg BatcherConfig, drain bool, inputs func(i int) map[int]*cimmlc.Tensor, n int) (*Batcher, []batchRes) {
+	t.Helper()
+	b := newBatcher(p, cfg)
+	t.Cleanup(b.Close)
+	if n > b.cfg.Queue {
+		t.Fatalf("%d requests do not fit a queue of %d", n, b.cfg.Queue)
+	}
+	reqs := make([]*batchReq, n)
+	for i := range reqs {
+		reqs[i] = &batchReq{ctx: context.Background(), inputs: inputs(i), reply: make(chan batchRes, 1)}
+		b.submit <- reqs[i]
+	}
+	if drain {
+		b.stopAdmission()
+	}
+	go b.loop()
+	if drain {
+		<-b.done
+	}
+	results := make([]batchRes, n)
+	for i, r := range reqs {
+		if drain && len(r.reply) == 0 {
+			t.Fatalf("request %d dropped during drain", i)
+		}
+		results[i] = <-r.reply
+	}
+	return b, results
+}
+
 func TestBatcherTriggers(t *testing.T) {
 	p := testProgram(t)
 	cases := []struct {
 		name    string
-		cfg     BatcherConfig
 		n       int
 		trigger func(BatcherStats) uint64
 	}{
-		// MaxDelay is effectively infinite: only the size trigger can fire.
-		{"flush on size", BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour}, 4,
-			func(s BatcherStats) uint64 { return s.SizeFlushes }},
-		// MaxBatch is unreachable: only the deadline trigger can fire.
-		{"flush on deadline", BatcherConfig{MaxBatch: 1000, MaxDelay: 10 * time.Millisecond}, 3,
-			func(s BatcherStats) uint64 { return s.DeadlineFlushes }},
+		// The backlog fills a whole batch.
+		{"flush on size", 4, func(s BatcherStats) uint64 { return s.SizeFlushes }},
+		// The backlog runs out first: the partial batch runs at once.
+		{"flush on idle", 3, func(s BatcherStats) uint64 { return s.IdleFlushes }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBatcher(p, tc.cfg)
-			defer b.Close()
-			results := submitN(t, b, tc.n, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) })
+			b, results := runQueued(t, p, BatcherConfig{MaxBatch: 4}, false,
+				func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) }, tc.n)
 			for i, r := range results {
 				if r.err != nil {
 					t.Fatalf("request %d: %v", i, r.err)
@@ -99,30 +131,30 @@ func TestBatcherTriggers(t *testing.T) {
 			if st.Requests != uint64(tc.n) {
 				t.Fatalf("stats count %d requests, want %d", st.Requests, tc.n)
 			}
-			if tc.trigger(st) == 0 {
-				t.Fatalf("expected trigger did not fire: %+v", st)
+			if st.Batches != 1 || tc.trigger(st) != 1 {
+				t.Fatalf("want the backlog served as one batch by the expected trigger: %+v", st)
 			}
 		})
 	}
 }
 
+// TestBatcherWorkConserving pins the group-commit policy: a lone request
+// runs the moment the executor is idle, and a burst is served through
+// size and idle flushes only.
 func TestBatcherWorkConserving(t *testing.T) {
 	p := testProgram(t)
-	// MaxDelay is huge on purpose: in work-conserving mode a lone request
-	// must flush the moment the executor is idle, not wait out a deadline.
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 8, MaxDelay: time.Hour, WorkConserving: true})
+	b := NewBatcher(p, BatcherConfig{MaxBatch: 8})
 	defer b.Close()
 	start := time.Now()
 	if _, err := b.Do(context.Background(), testInput(1)); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("lone work-conserving request took %v; idle flush did not fire", d)
+		t.Fatalf("lone request took %v; idle flush did not fire", d)
 	}
 	if st := b.Stats(); st.IdleFlushes == 0 {
 		t.Fatalf("expected an idle flush: %+v", st)
 	}
-	// A burst is still served in full, through size and idle flushes only.
 	results := submitN(t, b, 16, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) })
 	for i, r := range results {
 		if r.err != nil {
@@ -133,9 +165,6 @@ func TestBatcherWorkConserving(t *testing.T) {
 	if st.Requests != 17 {
 		t.Fatalf("served %d requests, want 17", st.Requests)
 	}
-	if st.DeadlineFlushes != 0 {
-		t.Fatalf("work-conserving mode used the deadline timer: %+v", st)
-	}
 	if st.SizeFlushes+st.IdleFlushes != st.Batches {
 		t.Fatalf("flush triggers do not add up: %+v", st)
 	}
@@ -143,26 +172,13 @@ func TestBatcherWorkConserving(t *testing.T) {
 
 func TestBatcherShutdownDrainsPending(t *testing.T) {
 	p := testProgram(t)
-	// Neither trigger can fire on its own: requests sit queued until Close
-	// drains them.
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 1000, MaxDelay: time.Hour})
+	// The requests are queued when Close begins: the drain serves them.
 	const n = 3
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = b.Do(context.Background(), testInput(uint64(i)))
-		}(i)
-	}
-	// Let the requests reach the queue, then drain.
-	time.Sleep(100 * time.Millisecond)
-	b.Close()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("drained request %d: %v", i, err)
+	b, results := runQueued(t, p, BatcherConfig{MaxBatch: 1000}, true,
+		func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) }, n)
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("drained request %d: %v", i, r.err)
 		}
 	}
 	st := b.Stats()
@@ -179,17 +195,15 @@ func TestBatcherShutdownDrainsPending(t *testing.T) {
 
 func TestBatcherPerRequestErrorIsolation(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour})
-	defer b.Close()
 	// Request 2 is malformed (wrong input shape): it must fail alone while
 	// its three batch-mates succeed.
-	results := submitN(t, b, 4, func(i int) map[int]*cimmlc.Tensor {
+	b, results := runQueued(t, p, BatcherConfig{MaxBatch: 4}, false, func(i int) map[int]*cimmlc.Tensor {
 		if i == 2 {
 			bad := cimmlc.NewTensor(1, 2, 2)
 			return map[int]*cimmlc.Tensor{0: bad}
 		}
 		return testInput(uint64(i))
-	})
+	}, 4)
 	for i, r := range results {
 		if i == 2 {
 			if r.err == nil {
@@ -208,7 +222,7 @@ func TestBatcherPerRequestErrorIsolation(t *testing.T) {
 
 func TestBatcherCancelledRequestSkipped(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 1000, MaxDelay: 20 * time.Millisecond})
+	b := NewBatcher(p, BatcherConfig{MaxBatch: 1000})
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -219,7 +233,7 @@ func TestBatcherCancelledRequestSkipped(t *testing.T) {
 
 func TestBatcherBitIdenticalToDirectRun(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond})
+	b := NewBatcher(p, BatcherConfig{MaxBatch: 4})
 	defer b.Close()
 	const n = 8
 	results := submitN(t, b, n, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) })
@@ -252,7 +266,8 @@ func TestBatcherBitIdenticalToDirectRun(t *testing.T) {
 // TestBatcherEngagesBatchedKernels pins the Batcher→RunBatch handoff to the
 // batched kernel path: with a single-worker program, a full flush forms one
 // micro-batch, so the program's batched counters must cover every request —
-// and the outputs must still match direct Runs bit-for-bit.
+// and the outputs must still match direct Runs bit-for-bit. The requests are
+// queued before the loop starts, so they form that one full batch.
 func TestBatcherEngagesBatchedKernels(t *testing.T) {
 	g, err := cimmlc.Model("conv-relu")
 	if err != nil {
@@ -270,11 +285,9 @@ func TestBatcherEngagesBatchedKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour})
-	defer b.Close()
-
 	const n = 4
-	results := submitN(t, b, n, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(100 + i)) })
+	_, results := runQueued(t, p, BatcherConfig{MaxBatch: 4}, false,
+		func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(100 + i)) }, n)
 	for i, r := range results {
 		if r.err != nil {
 			t.Fatalf("request %d: %v", i, r.err)

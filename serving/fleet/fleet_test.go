@@ -126,7 +126,7 @@ func TestFleetScaleUpAndDrainDown(t *testing.T) {
 		ScaleInterval:      2 * time.Millisecond,
 		ScaleUpDepth:       1,
 		ScaleDownIdleTicks: 3,
-		Batcher:            serving.BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
+		Batcher:            serving.BatcherConfig{MaxBatch: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,10 @@
 // The registry is the front door for multi-model, multi-architecture
 // serving: many models compiled for many CIM architecture presets stay
 // resident at once, each built exactly once on first use. The batcher
-// amortizes per-request dispatch by accumulating requests until a size or
-// deadline trigger fires and flushing them through Program.RunBatch's
-// bounded worker pool — the dynamic micro-batching strategy GPU/CIM
-// serving stacks use to trade a bounded queueing delay for throughput.
+// amortizes per-request dispatch by group commit: whenever the executor is
+// free, the requests that queued meanwhile flush together through
+// Program.RunBatch's bounded worker pool, so batches grow with load while
+// a lone request waits for nothing.
 package serving
 
 import (

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -134,39 +136,18 @@ func TestArchsKeepsDisplayCasing(t *testing.T) {
 // TestBatcherDrainAttributesSizeFlushes is the regression for the drain-stat
 // bug: full batches flushed while Close drains the queue are ordinary
 // size-triggered flushes; only the final partial flush belongs to
-// DrainFlushes. The batcher is assembled by hand with the queue pre-filled
-// and closing pre-closed so the drain path handles the backlog regardless of
-// select ordering.
+// DrainFlushes. The queue is pre-filled and admission stopped before the
+// loop starts, so the drain path handles the backlog regardless of select
+// ordering.
 func TestBatcherDrainAttributesSizeFlushes(t *testing.T) {
 	p := testProgram(t)
 	for iter := 0; iter < 5; iter++ {
-		cfg := BatcherConfig{MaxBatch: 2, MaxDelay: time.Hour}.withDefaults()
-		b := &Batcher{
-			p:       p,
-			cfg:     cfg,
-			submit:  make(chan *batchReq, cfg.Queue),
-			closing: make(chan struct{}),
-			done:    make(chan struct{}),
-		}
 		const n = 5 // two full batches + one partial
-		reqs := make([]*batchReq, n)
-		for i := range reqs {
-			reqs[i] = &batchReq{ctx: context.Background(), inputs: testInput(uint64(i)), reply: make(chan batchRes, 1)}
-			b.submit <- reqs[i]
-		}
-		b.closed.Store(true)
-		close(b.closing)
-		go b.loop()
-		<-b.done
-
-		for i, r := range reqs {
-			select {
-			case res := <-r.reply:
-				if res.err != nil {
-					t.Fatalf("iter %d: drained request %d: %v", iter, i, res.err)
-				}
-			default:
-				t.Fatalf("iter %d: request %d dropped during drain", iter, i)
+		b, results := runQueued(t, p, BatcherConfig{MaxBatch: 2}, true,
+			func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) }, n)
+		for i, r := range results {
+			if r.err != nil {
+				t.Fatalf("iter %d: drained request %d: %v", iter, i, r.err)
 			}
 		}
 		st := b.Stats()
@@ -180,13 +161,42 @@ func TestBatcherDrainAttributesSizeFlushes(t *testing.T) {
 	}
 }
 
+// TestServerLoneRequestIgnoresMaxDelay is the regression for the deadline
+// flush policy, under which the Batcher held every lone request for
+// MaxDelay while the executor sat idle. MaxDelay is now ignored, so even an
+// hour-long setting must not delay a lone /v1/run: it runs by an idle flush.
+func TestServerLoneRequestIgnoresMaxDelay(t *testing.T) {
+	s := NewServer(NewRegistry(), ServerConfig{Batch: BatcherConfig{MaxBatch: 8, MaxDelay: time.Hour}})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	// Build the Program first so the bound below times only the request.
+	b, err := s.Batcher(context.Background(), "conv-relu", "toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"model":"conv-relu","arch":"toy-table2","seed":1}`))
+	if err != nil {
+		t.Fatalf("lone /v1/run did not finish within the client's 5s bound: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run = %d, want 200", resp.StatusCode)
+	}
+	st := b.Stats()
+	if st.IdleFlushes < 1 || st.DeadlineFlushes != 0 {
+		t.Fatalf("want an idle flush and no deadline flush: %+v", st)
+	}
+}
+
 // TestBatcherFallbackRepliesSurviveClose pins the detached isolation
 // fallback: a poisoned batch's per-request re-runs now execute off the
 // batching loop, and Close must still wait for their replies — no request
 // may observe ErrClosed after it was admitted.
 func TestBatcherFallbackRepliesSurviveClose(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 2, MaxDelay: time.Hour})
+	b := NewBatcher(p, BatcherConfig{MaxBatch: 2})
 	const n = 4
 	var wg sync.WaitGroup
 	errs := make([]error, n)

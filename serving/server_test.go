@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"cimmlc"
 )
@@ -17,7 +16,7 @@ import (
 func testGateway(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(NewRegistry(), ServerConfig{
-		Batch: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
+		Batch: BatcherConfig{MaxBatch: 4},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
